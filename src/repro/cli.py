@@ -70,7 +70,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_plan_strategy(args: argparse.Namespace) -> int:
     """The strategy co-planner path of ``plan`` (``--strategy``)."""
-    from .core.topoplan import plan_strategy, strategy_plan_table
+    from .core.topoplan import best_strategy_plan, strategy_plan_table
     from .models.strategies import parse_strategy
 
     # Full co-planning simulates concatenated demand programs; clip the
@@ -100,7 +100,7 @@ def _cmd_plan_strategy(args: argparse.Namespace) -> int:
     if not table:
         print("plan: no feasible strategy plan", file=sys.stderr)
         return 1
-    best = plan_strategy(nodes, model, strategies=strategies)
+    best = best_strategy_plan(table)
     print(f"strategy co-plan for N={nodes}, model={model}:")
     print(f"  strategy           : {best.strategy.name}")
     print(f"  fabric             : {best.fabric}")

@@ -21,9 +21,10 @@ Conventions (matching the executors):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..collectives import analysis as can
 from ..collectives.schedule import Schedule
@@ -337,6 +338,109 @@ class WrhtCostDetail:
     total_time: float
 
 
+@dataclass(frozen=True)
+class WrhtSkeleton:
+    """What the analytic Wrht model needs of a schedule, before any
+    payload or rate is applied.
+
+    Per step: the wavelength demand, the striping factor ``k`` and, for
+    each chunk count, the longest arc (hops) a transfer of that many
+    chunks travels.  Keeping only the longest arc is exact:
+    propagation delay is ``hops × const`` and float rounding is
+    monotone, so the slowest transfer of a chunk count is the one with
+    the most hops.  ``error`` is the message of the first step whose
+    demand exceeds the wavelength budget (``steps`` then stops there).
+    """
+
+    num_chunks: int
+    steps: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]
+    error: Optional[str] = None
+
+    @property
+    def num_steps(self) -> int:
+        """Steps of the schedule (when feasible)."""
+        return len(self.steps)
+
+    def price(self, system: OpticalRingSystem,
+              workload: Workload) -> WrhtCostDetail:
+        """Apply ``workload``'s payload and ``system``'s rates and delays.
+
+        Raises :class:`ConfigurationError` for an infeasible schedule.
+        """
+        if self.error is not None:
+            raise ConfigurationError(self.error)
+        chunk_bytes = workload.data_bytes / self.num_chunks
+        fixed = system.tuning_time + system.step_overhead
+        step_times = []
+        for _, k, arcs in self.steps:
+            slowest = 0.0
+            for chunks, hops in arcs:
+                dt = chunks * chunk_bytes / (k * system.wavelength_rate) \
+                    + system.propagation_delay(hops)
+                slowest = max(slowest, dt)
+            step_times.append(fixed + slowest)
+        return WrhtCostDetail(step_times=tuple(step_times),
+                              striping=tuple(k for _, k, _ in self.steps),
+                              demands=tuple(d for d, _, _ in self.steps),
+                              total_time=sum(step_times))
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_ring(num_nodes: int, bidirectional: bool) -> RingTopology:
+    """The shared capacity-1 ring the Wrht model measures arcs on."""
+    return RingTopology(num_nodes, capacity=1.0, bidirectional=bidirectional)
+
+
+def _schedule_skeleton(schedule: Schedule, num_nodes: int,
+                       bidirectional: bool, num_wavelengths: int,
+                       allow_striping: bool) -> WrhtSkeleton:
+    ring = _unit_ring(num_nodes, bidirectional)
+    steps = []
+    for step in schedule.steps:
+        demand = can.step_wavelength_demand(ring, step)
+        if demand > num_wavelengths:
+            return WrhtSkeleton(
+                num_chunks=schedule.num_chunks, steps=tuple(steps),
+                error=f"step needs {demand} wavelengths; system has "
+                      f"{num_wavelengths}")
+        k = (max(1, num_wavelengths // demand) if allow_striping else 1)
+        longest = {}
+        for t in step:
+            hops = ring.distance(t.src, t.dst,
+                                 can.transfer_direction(ring, t))
+            chunks = len(t.chunks)
+            if hops > longest.get(chunks, -1):
+                longest[chunks] = hops
+        steps.append((demand, k, tuple(longest.items())))
+    return WrhtSkeleton(num_chunks=schedule.num_chunks, steps=tuple(steps))
+
+
+@functools.lru_cache(maxsize=4096)
+def wrht_skeleton(params: WrhtParameters, num_nodes: int,
+                  bidirectional: bool, num_wavelengths: int,
+                  allow_striping: bool) -> WrhtSkeleton:
+    """The memoised skeleton of ``generate_wrht(params)`` on a ring.
+
+    A candidate's skeleton does not depend on the payload or the rates,
+    so the planner generates each ``(params, ring)`` schedule once per
+    process and prices it for every workload.  Entries are O(steps).
+    """
+    schedule, _ = generate_wrht(params)
+    return _schedule_skeleton(schedule, num_nodes, bidirectional,
+                              num_wavelengths, allow_striping)
+
+
+def wrht_skeleton_time(system: OpticalRingSystem, workload: Workload,
+                       params: WrhtParameters) -> Tuple[float, int]:
+    """``(total time, steps)`` of ``params`` without building a schedule.
+
+    Equal, bit for bit, to :func:`wrht_time`'s total and step count.
+    """
+    skeleton = wrht_skeleton(params, system.num_nodes, system.bidirectional,
+                             system.num_wavelengths, system.allow_striping)
+    return skeleton.price(system, workload).total_time, skeleton.num_steps
+
+
 def wrht_time_from_schedule(schedule: Schedule,
                             system: OpticalRingSystem,
                             workload: Workload) -> WrhtCostDetail:
@@ -347,37 +451,10 @@ def wrht_time_from_schedule(schedule: Schedule,
     steps always retune; the executor agrees except on degenerate
     repeated steps).
     """
-    ring = RingTopology(system.num_nodes, capacity=1.0,
-                        bidirectional=system.bidirectional)
-    step_times: List[float] = []
-    stripings: List[int] = []
-    demands: List[int] = []
-    chunk_bytes = workload.data_bytes / schedule.num_chunks
-    for step in schedule.steps:
-        demand = can.step_wavelength_demand(ring, step)
-        if demand > system.num_wavelengths:
-            raise ConfigurationError(
-                f"step needs {demand} wavelengths; system has "
-                f"{system.num_wavelengths}")
-        k = (max(1, system.num_wavelengths // demand)
-             if system.allow_striping else 1)
-        # slowest transfer: max over transfers of serialization+propagation
-        slowest = 0.0
-        for t in step:
-            direction = can.transfer_direction(ring, t)
-            hops = ring.distance(t.src, t.dst, direction)
-            b = len(t.chunks) * chunk_bytes
-            dt = b / (k * system.wavelength_rate) \
-                + system.propagation_delay(hops)
-            slowest = max(slowest, dt)
-        step_times.append(system.tuning_time + system.step_overhead
-                          + slowest)
-        stripings.append(k)
-        demands.append(demand)
-    return WrhtCostDetail(step_times=tuple(step_times),
-                          striping=tuple(stripings),
-                          demands=tuple(demands),
-                          total_time=sum(step_times))
+    return _schedule_skeleton(
+        schedule, system.num_nodes, system.bidirectional,
+        system.num_wavelengths, system.allow_striping,
+    ).price(system, workload)
 
 
 def wrht_time(system: OpticalRingSystem, workload: Workload,

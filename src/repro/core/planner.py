@@ -19,7 +19,12 @@ Variants swept per ``m``:
 Fidelities: ``"analytic"`` (closed form), ``"simulate"`` (execute every
 candidate on the substrate), and ``"hybrid"`` (analytic pruning, then
 simulate the top-``k`` candidates — near-simulate accuracy at a small
-fraction of the cost).
+fraction of the cost).  The analytic and hybrid rankings price each
+candidate from a memoised step skeleton
+(:func:`~repro.core.cost_model.wrht_skeleton`), which does not depend on
+the payload, so a sweep over models or payloads generates each
+``(N, m, variant)`` schedule once and builds schedules only for the
+plans it returns or simulates.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from ..collectives.wrht import WrhtParameters, WrhtScheduleInfo
 from ..config import OpticalRingSystem, Workload
 from ..errors import PlanningError
 from ..models.strategies import DemandProfile
-from .cost_model import wrht_time
+from .cost_model import wrht_skeleton_time, wrht_time
 from .substrates.optical_ring import OpticalRingSubstrate
 
 VARIANTS = ("paper", "last-level", "tree")
@@ -137,8 +142,12 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
         raise PlanningError(f"hybrid top_k must be >= 1, got {top_k}")
     n = system.num_nodes
     w = system.num_wavelengths
-    candidates = (list(group_sizes) if group_sizes is not None
+    candidates = [
+        (m, variant, _variant_params(n, m, w, variant))
+        for m in (list(group_sizes) if group_sizes is not None
                   else default_group_sizes(n, w))
+        if m >= 2 and m // 2 <= w
+        for variant in variants]
     if fidelity in ("simulate", "hybrid") and substrate is None:
         substrate = OpticalRingSubstrate(system)
 
@@ -149,28 +158,33 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
                         predicted_time=total)
 
     best: Optional[WrhtPlan] = None
-    analytic_plans: List[WrhtPlan] = []
-    for m in candidates:
-        if m < 2 or m // 2 > w:
-            continue
-        for variant in variants:
-            params = _variant_params(n, m, w, variant)
-            if fidelity == "simulate":
-                from ..collectives.wrht import generate_wrht
-                schedule, info = generate_wrht(params)
-                total = substrate.execute(schedule, workload).total_time
-            else:
-                total, schedule, info = wrht_time(system, workload, params)
+    if fidelity == "simulate":
+        from ..collectives.wrht import generate_wrht
+        for _, variant, params in candidates:
+            schedule, info = generate_wrht(params)
+            total = substrate.execute(schedule, workload).total_time
+            plan = WrhtPlan(params=params, variant=variant,
+                            schedule=schedule, info=info,
+                            predicted_time=total)
+            if best is None or _plan_key(plan) < _plan_key(best):
+                best = plan
+    else:
+        # Rank on the memoised skeletons (stable sort: ties keep sweep
+        # order); build schedules only for the plans kept or simulated.
+        ranked = []
+        for m, variant, params in candidates:
+            total, steps = wrht_skeleton_time(system, workload, params)
+            ranked.append(((total, steps, m), variant, params))
+        ranked.sort(key=lambda r: r[0])
+        keep = top_k if fidelity == "hybrid" else 1
+        for (predicted, _, _), variant, params in ranked[:keep]:
+            total, schedule, info = wrht_time(system, workload, params)
+            assert total == predicted, (total, predicted)
             plan = WrhtPlan(params=params, variant=variant,
                             schedule=schedule, info=info,
                             predicted_time=total)
             if fidelity == "hybrid":
-                analytic_plans.append(plan)
-            elif best is None or _plan_key(plan) < _plan_key(best):
-                best = plan
-    if fidelity == "hybrid":
-        analytic_plans.sort(key=_plan_key)
-        for plan in map(simulated, analytic_plans[:top_k]):
+                plan = simulated(plan)
             if best is None or _plan_key(plan) < _plan_key(best):
                 best = plan
     if best is None:
@@ -267,6 +281,6 @@ def plan_table(system: OpticalRingSystem, workload: Workload,
         if m < 2 or m // 2 > w:
             continue
         params = _variant_params(n, m, w, variant)
-        total, schedule, _ = wrht_time(system, workload, params)
-        rows.append((m, schedule.num_steps, total))
+        total, steps = wrht_skeleton_time(system, workload, params)
+        rows.append((m, steps, total))
     return rows

@@ -565,6 +565,12 @@ def plan_strategy(num_nodes: int, model: Union[str, object],
     if not plans:
         raise PlanningError(
             f"no feasible strategy plan for N={num_nodes}")
+    return best_strategy_plan(plans)
+
+
+def best_strategy_plan(plans: Sequence[StrategyPlan]) -> StrategyPlan:
+    """The fastest cell of a non-empty :func:`strategy_plan_table`, with
+    the same deterministic tie-breaks as :func:`plan_strategy`."""
     return min(plans, key=_strategy_key)
 
 

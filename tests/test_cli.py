@@ -196,3 +196,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "per-job records" in out
         assert "sjf" in out and "scatter" in out
+
+    def test_plan_strategy_searches_once(self, capsys, monkeypatch):
+        import repro.core.topoplan as topoplan
+        from repro import units
+
+        search = topoplan.strategy_plan_table
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(topoplan, "strategy_plan_table", counted)
+        rc = main(["plan", "--nodes", "8", "--strategy", "auto"])
+        assert rc == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        monkeypatch.setattr(topoplan, "strategy_plan_table", search)
+        best = topoplan.plan_strategy(8, "alexnet")
+        assert f"  strategy           : {best.strategy.name}\n" in out
+        assert f"  fabric             : {best.fabric}\n" in out
+        assert f"  collective/policy  : {best.algorithm}/{best.policy}\n" \
+            in out
+        assert f"  steps              : {best.num_steps}\n" in out
+        assert (f"  predicted time     : "
+                f"{units.fmt_time(best.predicted_time)}\n") in out
