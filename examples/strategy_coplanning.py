@@ -15,7 +15,8 @@ Three demos on the strategy demand IR:
    program installing the strided circuits once) converts the byte
    reduction into wall-clock.
 3. **Parity** — the uniform data-parallel strategy is the legacy
-   single-workload model, bit for bit, through ``plan_topology``.
+   single-workload model: ``plan_topology`` plans its profile and the
+   equivalent ``Workload`` identically, bit for bit.
 
 Run:  python examples/strategy_coplanning.py
 """
@@ -23,7 +24,7 @@ Run:  python examples/strategy_coplanning.py
 from repro import units
 from repro.config import default_ocs
 from repro.core.topoplan import (plan_strategy, plan_topology,
-                                 plan_topology_profile, strategy_plan_table)
+                                 strategy_plan_table)
 from repro.models.catalog import get_model
 from repro.models.strategies import ParallelStrategy, enumerate_strategies
 
@@ -69,10 +70,10 @@ def main() -> None:
     prof = dp.lower(model, bucket_bytes=float("inf"))
     sys = default_ocs(NODES)
     legacy = plan_topology(sys, prof.to_workload())
-    viaprof = plan_topology_profile(sys, prof)
+    viaprof = plan_topology(sys, prof)
     assert viaprof.predicted_time == legacy.predicted_time
     assert viaprof.report == legacy.report
-    print(f"uniform-DP parity: profile path == legacy path "
+    print(f"uniform-DP parity: profile == workload "
           f"({legacy.algorithm}/{legacy.policy}, "
           f"{units.fmt_time(legacy.predicted_time)}) — bit for bit")
 

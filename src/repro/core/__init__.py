@@ -15,9 +15,13 @@
 * :mod:`~repro.core.planner` — chooses Wrht's group size ``m`` and
   all-to-all variant for a given system + payload (analytically or by
   simulating candidates on a substrate);
+* :mod:`~repro.core.topoplan` — the OCS topology/schedule co-planner:
+  one planning path over strategy demand profiles (a plain workload is
+  the one-phase data-parallel profile), plus the strategy co-planner
+  that searches parallelization × fabric shape × collective;
 * :mod:`~repro.core.comparison` — the "all four algorithms on one
-  workload" driver behind every figure, plus the torus extension
-  scenario;
+  workload" driver behind every figure, plus the torus, OCS and
+  multi-rack extension scenarios;
 * :mod:`~repro.core.allreduce_api` — a numerical all-reduce front end
   that really reduces user arrays while reporting modelled time.
 """

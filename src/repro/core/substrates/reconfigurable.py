@@ -60,6 +60,21 @@ DEFAULT_STEP_CACHE_MAX_PAIRS = 1024
 _SIM_CACHE_MAX = 64
 
 
+def schedule_demands(schedule: Schedule, data_bytes: float,
+                     ) -> List[Dict[CircuitPair, float]]:
+    """Lower ``schedule`` to per-step ``{(src, dst): bytes}`` demand
+    matrices at a ``data_bytes`` payload (transfers between the same
+    pair in one step add up) — the currency the OCS fabric executes."""
+    demands: List[Dict[CircuitPair, float]] = []
+    for step in schedule.steps:
+        sizes: Dict[CircuitPair, float] = {}
+        for t in step:
+            b = transfer_bytes(t, data_bytes, schedule.num_chunks)
+            sizes[(t.src, t.dst)] = sizes.get((t.src, t.dst), 0.0) + b
+        demands.append(sizes)
+    return demands
+
+
 class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
     """Reconfiguration-aware schedule execution on an OCS fabric.
 
@@ -205,14 +220,7 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 f"got {mode!r}")
         use_lookahead = self._lookahead if lookahead is None else lookahead
         system = self._resolve_system(schedule)
-        demands: List[Dict[CircuitPair, float]] = []
-        for step in schedule.steps:
-            sizes: Dict[CircuitPair, float] = {}
-            for t in step:
-                b = transfer_bytes(t, workload.data_bytes,
-                                   schedule.num_chunks)
-                sizes[(t.src, t.dst)] = sizes.get((t.src, t.dst), 0.0) + b
-            demands.append(sizes)
+        demands = schedule_demands(schedule, workload.data_bytes)
         counts = [len(step) for step in schedule.steps]
         return self._run_demands(system, demands, schedule.name, counts,
                                  mode, use_lookahead)

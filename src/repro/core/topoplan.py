@@ -6,16 +6,21 @@ a reconfigurable OCS the *physical topology is a decision variable too*
 
     (collective algorithm) x (reconfiguration policy)
 
-by executing every candidate schedule on an
+for one :class:`~repro.models.strategies.DemandProfile` — a plain
+:class:`~repro.config.Workload` is lowered to the one-phase
+data-parallel profile (:meth:`DemandProfile.data_parallel`).  Every
+candidate lowers the profile to per-step demand matrices
+(:func:`profile_demands`) and executes them on an
 :class:`~repro.core.substrates.reconfigurable.OCSReconfigurableSubstrate`
 — ``"static"`` pins the fabric to its boot topology
 (``reconfiguration_delay = inf``), ``"reconfigure"`` lets the substrate
 make its per-step stay-vs-switch choice under the system's real delay,
-``"lookahead"`` plans the whole schedule's circuit program by DP
+``"lookahead"`` plans the whole demand program's circuit schedule by DP
 (:func:`~repro.topology.program.synthesize_program`, never worse than
 ``"reconfigure"``) — and returns the fastest end-to-end plan together
-with the
-:class:`~repro.topology.program.TopologyProgram` it realised.
+with the :class:`~repro.topology.program.TopologyProgram` it realised.
+The strategy co-planner (:func:`strategy_plan_table`) simulates its OCS
+survivors through the same candidate path.
 
 The candidate pool holds the schedule shapes with meaningfully different
 demand structure on a circuit fabric: ring all-reduce (neighbour-only —
@@ -28,13 +33,13 @@ cannot be generated for a node count are skipped, not fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..collectives.halving_doubling import generate_halving_doubling
 from ..collectives.hierarchical_ring import hierarchical_ring_step_count
 from ..collectives.placement import phase_schedule
-from ..collectives.primitives import transfer_bytes
 from ..collectives.recursive_doubling import generate_recursive_doubling
 from ..collectives.ring_allreduce import generate_ring_allreduce
 from ..collectives.schedule import Schedule
@@ -48,7 +53,8 @@ from ..models.strategies import (DemandProfile, ParallelStrategy,
 from ..topology.program import CircuitPair, TopologyProgram
 from .cost_model import profile_hier_time, profile_ocs_bound
 from .substrates.base import ExecutionReport
-from .substrates.reconfigurable import OCSReconfigurableSubstrate
+from .substrates.reconfigurable import (OCSReconfigurableSubstrate,
+                                        schedule_demands)
 from .substrates.registry import pooled_substrate
 
 #: Algorithm name -> schedule generator.
@@ -69,19 +75,22 @@ POLICIES: Tuple[str, ...] = ("static", "reconfigure", "lookahead")
 
 @dataclass(frozen=True)
 class TopologyPlan:
-    """One co-planned (algorithm, policy) outcome on an OCS fabric."""
+    """One co-planned (algorithm, policy) outcome for a demand profile
+    on an OCS fabric.  ``schedules`` holds one executed schedule per
+    profile phase (a lowered :class:`~repro.config.Workload` has one)."""
 
+    profile: DemandProfile
     algorithm: str
     policy: str
-    schedule: Schedule
+    schedules: Tuple[Schedule, ...]
     program: TopologyProgram
     predicted_time: float
     report: ExecutionReport
 
     @property
     def num_steps(self) -> int:
-        """Steps of the planned schedule."""
-        return self.schedule.num_steps
+        """Concatenated steps of the executed demand program."""
+        return len(self.report.steps)
 
     @property
     def num_reconfigurations(self) -> int:
@@ -101,7 +110,8 @@ def candidate_schedule(algorithm: str, num_nodes: int) -> Schedule:
     return generator(num_nodes)
 
 
-def plan_topology(system: ReconfigurableOCSSystem, workload: Workload,
+def plan_topology(system: ReconfigurableOCSSystem,
+                  demand: Union[Workload, DemandProfile],
                   algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
                   policies: Iterable[str] = POLICIES,
                   decomposition: str = "auto",
@@ -117,7 +127,7 @@ def plan_topology(system: ReconfigurableOCSSystem, workload: Workload,
     Raises :class:`~repro.errors.PlanningError` when no candidate can
     be generated or executed.
     """
-    plans = topology_plan_table(system, workload, algorithms=algorithms,
+    plans = topology_plan_table(system, demand, algorithms=algorithms,
                                 policies=policies,
                                 decomposition=decomposition)
     if not plans:
@@ -128,7 +138,7 @@ def plan_topology(system: ReconfigurableOCSSystem, workload: Workload,
 
 
 def topology_plan_table(system: ReconfigurableOCSSystem,
-                        workload: Workload,
+                        demand: Union[Workload, DemandProfile],
                         algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
                         policies: Iterable[str] = POLICIES,
                         decomposition: str = "auto",
@@ -139,7 +149,64 @@ def topology_plan_table(system: ReconfigurableOCSSystem,
     benchmark and the example — e.g. comparing the best reconfiguring
     plan against the best static plan at each reconfiguration delay.
     """
-    policies = tuple(policies)
+    profile = (demand if isinstance(demand, DemandProfile)
+               else DemandProfile.data_parallel(system.num_nodes, demand))
+    substrates = _policy_substrates(system, tuple(policies), decomposition)
+    plans: List[TopologyPlan] = []
+    for algorithm in algorithms:
+        plans.extend(_candidate_plans(substrates, profile, algorithm,
+                                      system.num_nodes))
+    return plans
+
+
+def _plan_key(plan: TopologyPlan) -> Tuple[float, int, int, str]:
+    return (plan.predicted_time, plan.num_steps,
+            POLICIES.index(plan.policy), plan.algorithm)
+
+
+def profile_demands(profile: DemandProfile, algorithm: str,
+                    num_nodes: int,
+                    ) -> Tuple[List[Dict[CircuitPair, float]], List[int],
+                               str, Tuple[Schedule, ...]]:
+    """Lower a demand profile to the OCS planner's currency.
+
+    Generates ``algorithm`` at each phase's group width, places one copy
+    per group (:func:`~repro.collectives.placement.phase_schedule`), and
+    concatenates every phase's per-step ``{(src, dst): bytes}`` matrices
+    in profile order, repeating each phase ``count`` times — the whole
+    training step as one demand program, so the lookahead DP amortises
+    reconfigurations *across* phase boundaries.  Returns
+    ``(demands, transfer_counts, name, phase_schedules)``.
+
+    A single-phase, single-occurrence profile keeps its schedule's own
+    name, so a lowered :class:`~repro.config.Workload` runs exactly the
+    demands, name and program that executing its schedule does.
+    """
+    if profile.world > num_nodes:
+        raise PlanningError(
+            f"profile spans {profile.world} ranks; fabric has {num_nodes}")
+    generator = partial(candidate_schedule, algorithm)
+    schedules: List[Schedule] = []
+    demands: List[Dict[CircuitPair, float]] = []
+    counts: List[int] = []
+    for phase in profile.phases:
+        sched = phase_schedule(phase, generator, num_nodes)
+        schedules.append(sched)
+        step_sizes = schedule_demands(sched, phase.message_bytes)
+        step_counts = [len(step) for step in sched.steps]
+        for _ in range(phase.count):
+            demands.extend(step_sizes)
+            counts.extend(step_counts)
+    if profile.num_phases == 1 and profile.phases[0].count == 1:
+        name = schedules[0].name
+    else:
+        name = f"{profile.name}:{algorithm}"
+    return demands, counts, name, tuple(schedules)
+
+
+def _policy_substrates(system: ReconfigurableOCSSystem,
+                       policies: Tuple[str, ...], decomposition: str,
+                       ) -> Dict[str, OCSReconfigurableSubstrate]:
     for policy in policies:
         if policy not in POLICIES:
             raise PlanningError(
@@ -162,195 +229,31 @@ def topology_plan_table(system: ReconfigurableOCSSystem,
                                    decomposition=decomposition)
         assert isinstance(sub, OCSReconfigurableSubstrate)
         substrates[policy] = sub
-    plans: List[TopologyPlan] = []
-    for algorithm in algorithms:
-        try:
-            schedule = candidate_schedule(algorithm, system.num_nodes)
-        except ScheduleError:
-            continue
-        if not schedule.steps:
-            continue
-        for policy in policies:
-            sub = substrates[policy]
-            report = sub.execute(schedule, workload)
-            program = sub.last_program
-            assert program is not None
-            plans.append(TopologyPlan(
-                algorithm=algorithm, policy=policy, schedule=schedule,
-                program=program, predicted_time=report.total_time,
-                report=report))
-    return plans
-
-
-def _plan_key(plan: TopologyPlan) -> Tuple[float, int, int, str]:
-    return (plan.predicted_time, plan.num_steps,
-            POLICIES.index(plan.policy), plan.algorithm)
-
-
-# ---------------------------------------------------------------------------
-# demand-profile planning (the strategy IR lifted onto the OCS planner)
-# ---------------------------------------------------------------------------
-
-
-def profile_demands(profile: DemandProfile, algorithm: str,
-                    num_nodes: int,
-                    ) -> Tuple[List[Dict[CircuitPair, float]], List[int],
-                               str, Tuple[Schedule, ...]]:
-    """Lower a demand profile to the OCS planner's currency.
-
-    Generates ``algorithm`` at each phase's group width, places one copy
-    per group (:func:`~repro.collectives.placement.phase_schedule`), and
-    concatenates every phase's per-step ``{(src, dst): bytes}`` matrices
-    in profile order, repeating each phase ``count`` times — the whole
-    training step as one demand program, so the lookahead DP amortises
-    reconfigurations *across* phase boundaries.  Returns
-    ``(demands, transfer_counts, name, phase_schedules)``.
-
-    A single-phase, single-occurrence profile keeps its schedule's own
-    name, so the synthesized program is named exactly as the legacy
-    schedule path names it — part of the bit-for-bit parity story.
-    """
-    if algorithm not in CANDIDATE_GENERATORS:
-        known = ", ".join(CANDIDATE_ALGORITHMS)
-        raise PlanningError(
-            f"unknown co-planner algorithm {algorithm!r}; "
-            f"candidates: {known}")
-    generator = CANDIDATE_GENERATORS[algorithm]
-    if profile.world > num_nodes:
-        raise PlanningError(
-            f"profile spans {profile.world} ranks; fabric has {num_nodes}")
-    schedules: List[Schedule] = []
-    demands: List[Dict[CircuitPair, float]] = []
-    counts: List[int] = []
-    for phase in profile.phases:
-        sched = phase_schedule(phase, generator, num_nodes)
-        schedules.append(sched)
-        step_sizes: List[Dict[CircuitPair, float]] = []
-        step_counts: List[int] = []
-        for step in sched.steps:
-            sizes: Dict[CircuitPair, float] = {}
-            for t in step:
-                b = transfer_bytes(t, phase.message_bytes, sched.num_chunks)
-                sizes[(t.src, t.dst)] = sizes.get((t.src, t.dst), 0.0) + b
-            step_sizes.append(sizes)
-            step_counts.append(len(step))
-        for _ in range(phase.count):
-            demands.extend(step_sizes)
-            counts.extend(step_counts)
-    if profile.num_phases == 1 and profile.phases[0].count == 1:
-        name = schedules[0].name
-    else:
-        name = f"{profile.name}:{algorithm}"
-    return demands, counts, name, tuple(schedules)
-
-
-@dataclass(frozen=True)
-class ProfileTopologyPlan:
-    """One (algorithm, policy) outcome for a whole demand profile."""
-
-    profile: DemandProfile
-    algorithm: str
-    policy: str
-    schedules: Tuple[Schedule, ...]
-    program: TopologyProgram
-    predicted_time: float
-    report: ExecutionReport
-
-    @property
-    def num_steps(self) -> int:
-        """Concatenated steps of the executed demand program."""
-        return len(self.report.steps)
-
-    @property
-    def num_reconfigurations(self) -> int:
-        """Circuit switches the realised program performs."""
-        return self.program.num_reconfigurations
-
-
-def topology_profile_table(system: ReconfigurableOCSSystem,
-                           profile: DemandProfile,
-                           algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
-                           policies: Iterable[str] = POLICIES,
-                           decomposition: str = "auto",
-                           ) -> List[ProfileTopologyPlan]:
-    """:func:`topology_plan_table` lifted to a demand profile.
-
-    Identical substrate pooling and policy grid; each candidate runs
-    the *concatenated* per-phase demand matrices through
-    ``execute_demands`` — for a single-full-width profile this is the
-    same demand sequence ``execute`` lowers the legacy schedule into,
-    so the reports, programs, and floats match the legacy table
-    bit for bit (pinned by the parity tests).
-    """
-    policies = tuple(policies)
-    substrates = _policy_substrates(system, policies, decomposition)
-    plans: List[ProfileTopologyPlan] = []
-    for algorithm in algorithms:
-        try:
-            demands, counts, name, schedules = profile_demands(
-                profile, algorithm, system.num_nodes)
-        except ScheduleError:
-            continue
-        if not demands:
-            continue
-        for policy in policies:
-            sub = substrates[policy]
-            report = sub.execute_demands(demands, name=name,
-                                         transfer_counts=counts)
-            program = sub.last_program
-            assert program is not None
-            plans.append(ProfileTopologyPlan(
-                profile=profile, algorithm=algorithm, policy=policy,
-                schedules=schedules, program=program,
-                predicted_time=report.total_time, report=report))
-    return plans
-
-
-def plan_topology_profile(system: ReconfigurableOCSSystem,
-                          profile: DemandProfile,
-                          algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
-                          policies: Iterable[str] = POLICIES,
-                          decomposition: str = "auto",
-                          ) -> ProfileTopologyPlan:
-    """Pick the fastest (algorithm, policy) pair for a demand profile."""
-    plans = topology_profile_table(system, profile, algorithms=algorithms,
-                                   policies=policies,
-                                   decomposition=decomposition)
-    if not plans:
-        raise PlanningError(
-            f"no feasible (algorithm, policy) candidate for profile "
-            f"{profile.name!r} on the OCS fabric")
-    return min(plans, key=_profile_plan_key)
-
-
-def _policy_substrates(system: ReconfigurableOCSSystem,
-                       policies: Tuple[str, ...], decomposition: str,
-                       ) -> Dict[str, OCSReconfigurableSubstrate]:
-    for policy in policies:
-        if policy not in POLICIES:
-            raise PlanningError(
-                f"unknown policy {policy!r}; policies: "
-                f"{', '.join(POLICIES)}")
-    substrates: Dict[str, OCSReconfigurableSubstrate] = {}
-    for policy in policies:
-        sys_p = (system.with_(reconfiguration_delay=float("inf"))
-                 if policy == "static" else system)
-        if policy == "lookahead":
-            sub = pooled_substrate("ocs-reconfig", sys_p,
-                                   decomposition=decomposition,
-                                   lookahead=True)
-        else:
-            sub = pooled_substrate("ocs-reconfig", sys_p,
-                                   decomposition=decomposition)
-        assert isinstance(sub, OCSReconfigurableSubstrate)
-        substrates[policy] = sub
     return substrates
 
 
-def _profile_plan_key(plan: ProfileTopologyPlan) -> Tuple[float, int, int,
-                                                          str]:
-    return (plan.predicted_time, plan.num_steps,
-            POLICIES.index(plan.policy), plan.algorithm)
+def _candidate_plans(substrates: Dict[str, OCSReconfigurableSubstrate],
+                     profile: DemandProfile, algorithm: str,
+                     num_nodes: int) -> List[TopologyPlan]:
+    """Execute one (profile, algorithm) candidate under every policy —
+    the one place OCS planner candidates run.  An algorithm that cannot
+    be generated at a phase's width yields no plans."""
+    try:
+        demands, counts, name, schedules = profile_demands(
+            profile, algorithm, num_nodes)
+    except ScheduleError:
+        return []
+    plans: List[TopologyPlan] = []
+    for policy, sub in substrates.items():
+        report = sub.execute_demands(demands, name=name,
+                                     transfer_counts=counts)
+        program = sub.last_program
+        assert program is not None
+        plans.append(TopologyPlan(
+            profile=profile, algorithm=algorithm, policy=policy,
+            schedules=schedules, program=program,
+            predicted_time=report.total_time, report=report))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +437,13 @@ def strategy_plan_table(num_nodes: int, model: Union[str, object],
     substrates = _policy_substrates(ocs_system, tuple(policies),
                                     decomposition)
     for _, strat, profile, algorithm in survivors:
-        try:
-            demands, counts, name, _ = profile_demands(
-                profile, algorithm, num_nodes)
-        except ScheduleError:
-            continue
-        if not demands:
-            continue
-        for policy in substrates:
-            sub = substrates[policy]
-            report = sub.execute_demands(demands, name=name,
-                                         transfer_counts=counts)
-            program = sub.last_program
+        for p in _candidate_plans(substrates, profile, algorithm,
+                                  num_nodes):
             plans.append(StrategyPlan(
                 strategy=strat, profile=profile, fabric="ocs-reconfig",
-                algorithm=algorithm, policy=policy,
-                predicted_time=report.total_time,
-                num_steps=len(report.steps),
-                program=program, report=report))
+                algorithm=algorithm, policy=p.policy,
+                predicted_time=p.predicted_time, num_steps=p.num_steps,
+                program=p.program, report=p.report))
     return plans
 
 

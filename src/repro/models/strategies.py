@@ -229,6 +229,16 @@ class DemandProfile:
         return Workload(data_bytes=self.phases[0].message_bytes,
                         name=self.name, dtype_bytes=dtype_bytes)
 
+    @classmethod
+    def data_parallel(cls, world: int, workload: Workload) -> "DemandProfile":
+        """One ``workload`` all-reduce over all ``world`` ranks: a single
+        full-width phase fired once (the inverse of :meth:`to_workload`)."""
+        return cls(world=world,
+                   phases=(CollectivePhase(
+                       name=workload.name, groups=(tuple(range(world)),),
+                       message_bytes=float(workload.data_bytes)),),
+                   name=workload.name)
+
 
 @dataclass(frozen=True)
 class ParallelStrategy:
@@ -394,6 +404,9 @@ class ParallelStrategy:
             raise ConfigurationError("microbatches must be >= 1")
         d, t, p = (self.data_parallel, self.tensor_parallel,
                    self.pipeline_parallel)
+        # Reject a pipeline deeper than the model before building any
+        # (possibly huge) rank-group tuple.
+        stages = self._stage_layers(model) if p > 1 else []
         phases: List[CollectivePhase] = []
         if t > 1:
             widths: Dict[int, int] = {}
@@ -410,7 +423,6 @@ class ParallelStrategy:
                     cadence=CADENCE_PER_LAYER,
                     count=2 * layers_at))
         if p > 1:
-            stages = self._stage_layers(model)
             chains = self.pipeline_chains
             for s in range(p - 1):
                 w = activation_width(stages[s][-1])

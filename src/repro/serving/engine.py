@@ -359,7 +359,7 @@ class ServingEngine:
                     self.system.with_(num_nodes=num_nodes),
                     Workload(data_bytes=message_bytes, name="serving"),
                     policies=("lookahead",))
-                sched = self._schedules[key] = plan.schedule
+                sched = self._schedules[key] = plan.schedules[0]
                 return sched
             if not isinstance(self.system, OpticalRingSystem):
                 raise ConfigurationError(
@@ -530,9 +530,12 @@ class ServingEngine:
             changed = False
             # Completions first (their nodes are free for this instant's
             # arrivals — and a job done by t survives a fault at t), in
-            # job-id order for determinism.
+            # job-id order for determinism.  A residual too small to
+            # move ``now`` (projected completion == now) is done too, or
+            # the loop would spin at dt 0 forever.
             done = sorted(jid for jid, r in running.items()
-                          if r.remaining <= _STEP_EPS)
+                          if r.remaining <= _STEP_EPS
+                          or r.completion_at(now) <= now)
             for jid in done:
                 r = running.pop(jid)
                 sched.release(r.placement)

@@ -1,9 +1,14 @@
 """Tests for the serving engine: parity, queueing, contention, metrics."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import Workload
 from repro.core.comparison import compare_algorithms
+from repro.core.topoplan import plan_topology
 from repro.errors import ConfigurationError
 from repro.serving import (ContentionModel, JobSpec, ServingEngine,
                            adaptive_policy, fixed_policy)
@@ -129,6 +134,18 @@ class TestAdaptiveDispatch:
         assert rep.algorithm_mix == {"wrht": 1}
         assert rep.records[0].service_time > 0.0
 
+    def test_wrht_arm_on_ocs_runs_the_lookahead_plan(self):
+        eng = ServingEngine(substrate_name="ocs-reconfig", capacity=8,
+                            collectives=fixed_policy("wrht"))
+        rep = eng.run([job(0, sizes=(64e6,))])
+        assert rep.algorithm_mix == {"wrht": 1}
+        wl = Workload(data_bytes=64e6, name="serving")
+        plan = plan_topology(eng.system, wl, policies=("lookahead",))
+        assert eng._collective_schedule("wrht", 8, 64e6) \
+            == plan.schedules[0]
+        assert rep.records[0].service_time \
+            == eng.substrate.execute(plan.schedules[0], wl).total_time
+
     def test_wrht_arm_needs_optical(self):
         eng = ServingEngine(capacity=8, collectives=fixed_policy("wrht"))
         with pytest.raises(ConfigurationError):
@@ -203,3 +220,27 @@ class TestReportMetrics:
         rep = ServingEngine(capacity=8).run(jobs)
         ends = [(r.completion_time, r.job.job_id) for r in rep.records]
         assert ends == sorted(ends)
+
+
+#: A stream whose job 440 is left with a residual ``remaining`` just
+#: above the completion epsilon while ``remaining x step_time`` is below
+#: the float spacing of ``now`` (t ~ 143 s): the event loop used to spin
+#: there at dt 0 forever.
+_LIVELOCK = """
+from repro.serving import ServingEngine, poisson_traffic
+jobs = poisson_traffic(num_jobs=700, arrival_rate=3.0, seed=0,
+                       node_choices=(4, 8, 16))[:450]
+rep = ServingEngine(substrate_name="ocs-reconfig", capacity=32).run(jobs)
+assert rep.num_jobs == 450, rep.num_jobs
+"""
+
+
+class TestEventLoopProgress:
+    def test_sub_spacing_residual_completes(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        # A hang fails the test at the timeout instead of stalling the
+        # suite.
+        subprocess.run([sys.executable, "-c", _LIVELOCK], env=env,
+                       timeout=60, check=True)

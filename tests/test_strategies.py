@@ -167,7 +167,13 @@ class TestLowering:
         assert pp[0].group_size == 2
         assert pp[0].cadence == "per-microbatch"
 
-    def test_pipeline_deeper_than_model_rejected(self):
+    def test_pipeline_deeper_than_model_rejected(self, monkeypatch):
+        # The depth check runs before any rank group is built: the
+        # 10**6 TP groups of this strategy are never materialised.
+        def never(self):
+            raise AssertionError("TP groups built before validation")
+        monkeypatch.setattr(ParallelStrategy, "tensor_parallel_groups",
+                            property(never))
         deep = ParallelStrategy(pipeline_parallel=10 ** 6,
                                 data_parallel=1, tensor_parallel=2)
         with pytest.raises(ConfigurationError):

@@ -1,15 +1,14 @@
 """Parity and search tests for the strategy co-planner.
 
-The keystone contract of the refactor: threading the uniform
-data-parallel strategy through the new demand-IR paths reproduces the
-legacy single-workload planners **bit for bit** — same floats, same
-schedule names, same programs — on every planning layer
-(``plan_topology``, ``plan_wrht``, ``compare_algorithms``, the
-reconfigurable substrate).  On top of that anchor, the co-planner's
-new knobs (leader placement, per-phase node subsets, multi-strategy
-search) must actually move the needle: the searched best is never
-worse than any fixed cell, and strided multi-phase profiles win by
-reconfiguring.
+The keystone contract: the OCS planner has one path, over demand
+profiles, and a plain ``Workload`` reaches it as the one-phase
+data-parallel profile — so the uniform data-parallel strategy plans
+**bit for bit** like the single-workload model (same floats, same
+schedule names, same programs).  On top of that anchor, the
+co-planner's knobs (leader placement, per-phase node subsets,
+multi-strategy search) must actually move the needle: the searched best
+is never worse than any fixed cell, and strided multi-phase profiles
+win by reconfiguring.
 """
 
 import pytest
@@ -18,75 +17,46 @@ from repro.collectives.hierarchical_ring import (
     generate_hierarchical_ring, hierarchical_ring_step_count)
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import (HierarchicalSystem, Workload, default_hierarchical,
-                          default_ocs, default_optical)
+                          default_ocs)
 from repro.core import cost_model
-from repro.core.comparison import compare_algorithms
-from repro.core.planner import plan_wrht, plan_wrht_profile
 from repro.core.substrates import get_substrate
 from repro.core.substrates.reconfigurable import OCSReconfigurableSubstrate
 from repro.core.topoplan import (default_leader_indices, plan_strategy,
-                                 plan_topology, plan_topology_profile,
-                                 profile_demands, strategy_plan_table,
-                                 topology_plan_table)
+                                 plan_topology, profile_demands,
+                                 strategy_plan_table, topology_plan_table)
 from repro.errors import ConfigurationError
 from repro.models.catalog import get_model
-from repro.models.strategies import ParallelStrategy
+from repro.models.strategies import DemandProfile, ParallelStrategy
 
 N = 8
 WL = Workload(data_bytes=50 * 2 ** 20, name="wl")
 
 
-def dp_profile(world, data_bytes, name="wl"):
-    """The uniform-DP profile equivalent to one legacy Workload."""
-    from repro.models.strategies import CollectivePhase, DemandProfile
-    return DemandProfile(
-        world=world,
-        phases=(CollectivePhase(name=name, groups=(tuple(range(world)),),
-                                message_bytes=float(data_bytes)),),
-        name=name)
-
-
 class TestUniformDpParity:
     """Pure data parallelism must be indistinguishable from the seed."""
 
-    def test_plan_topology_profile_bit_for_bit(self):
+    def test_plan_topology_data_parallel_bit_for_bit(self):
         sys = default_ocs(N)
         legacy = plan_topology(sys, WL)
-        viaprof = plan_topology_profile(sys, dp_profile(N, WL.data_bytes))
+        viaprof = plan_topology(sys, DemandProfile.data_parallel(N, WL))
         assert viaprof.algorithm == legacy.algorithm
         assert viaprof.policy == legacy.policy
         assert viaprof.predicted_time == legacy.predicted_time
         assert viaprof.report == legacy.report
         assert viaprof.program == legacy.program
+        assert viaprof.schedules[0].name == legacy.schedules[0].name
 
-    def test_plan_wrht_profile_bit_for_bit(self):
-        sys = default_optical(16)
-        legacy = plan_wrht(sys, WL)
-        viaprof = plan_wrht_profile(sys, dp_profile(16, WL.data_bytes))
-        assert viaprof.predicted_time == legacy.predicted_time
-        assert len(viaprof.phase_plans) == 1
-        assert viaprof.phase_plans[0].plan.schedule.name \
-            == legacy.schedule.name
-
-    @pytest.mark.parametrize("fidelity", ["analytic", "simulate"])
-    def test_compare_algorithms_bit_for_bit(self, fidelity):
-        legacy = compare_algorithms(N, WL, fidelity=fidelity)
-        viaprof = compare_algorithms(N, WL, fidelity=fidelity,
-                                     profile=dp_profile(N, WL.data_bytes))
-        assert set(viaprof.results) == set(legacy.results)
-        for algo in legacy.results:
-            assert viaprof.time(algo) == legacy.time(algo)
-
-    def test_profile_world_must_match(self):
-        with pytest.raises(ConfigurationError):
-            compare_algorithms(N, WL, profile=dp_profile(4, WL.data_bytes))
+    def test_data_parallel_profile_is_one_full_width_phase(self):
+        prof = DemandProfile.data_parallel(N, WL)
+        assert prof.is_single_full_width
+        assert prof.to_workload() == WL
 
     def test_strategy_lowering_matches_handmade_profile(self):
         strat = ParallelStrategy(data_parallel=N)
         prof = strat.lower(get_model("alexnet"), bucket_bytes=float("inf"))
         sys = default_ocs(N)
         wl = prof.to_workload()
-        assert plan_topology_profile(sys, prof).predicted_time \
+        assert plan_topology(sys, prof).predicted_time \
             == plan_topology(sys, wl).predicted_time
 
 

@@ -1,10 +1,13 @@
 """Tests for the topology/schedule co-planner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.config import Workload, default_ocs
 from repro.core.comparison import EXTENDED_ALGORITHMS, compare_algorithms
+from repro.core.substrates.reconfigurable import OCSReconfigurableSubstrate
 from repro.core.topoplan import (CANDIDATE_ALGORITHMS, POLICIES,
                                  TopologyPlan, candidate_schedule,
                                  plan_topology, topology_plan_table)
@@ -107,3 +110,53 @@ class TestComparisonScenario:
         sim = compare_algorithms(8, wl, algorithms=("ocs",),
                                  fidelity="simulate")
         assert ana.time("ocs") == sim.time("ocs")
+
+
+# A frozen copy of the schedule-path candidate loop the planner ran
+# before it planned every demand through profiles: each candidate
+# schedule executed on a fresh substrate per policy.  The single
+# profile path must reproduce it row for row.
+def _frozen_schedule_table(system, workload):
+    rows = []
+    subs = {}
+    for policy in POLICIES:
+        sys_p = (system.with_(reconfiguration_delay=float("inf"))
+                 if policy == "static" else system)
+        subs[policy] = OCSReconfigurableSubstrate(
+            sys_p, lookahead=(policy == "lookahead"))
+    for algorithm in CANDIDATE_ALGORITHMS:
+        schedule = candidate_schedule(algorithm, system.num_nodes)
+        for policy in POLICIES:
+            sub = subs[policy]
+            report = sub.execute(schedule, workload)
+            rows.append((algorithm, policy, schedule, sub.last_program,
+                         report.total_time, schedule.num_steps, report))
+    return rows
+
+
+class TestSinglePathParity:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12),
+           data_bytes=st.floats(1.0, 1e9),
+           delay=st.one_of(st.just(float("inf")),
+                           st.floats(0.0, 1e-2)))
+    def test_profile_path_matches_frozen_schedule_path(self, n, data_bytes,
+                                                       delay):
+        system = default_ocs(n, reconfiguration_delay=delay)
+        workload = Workload(data_bytes=data_bytes, name="parity")
+        ref = _frozen_schedule_table(system, workload)
+        ours = topology_plan_table(system, workload)
+        assert len(ours) == len(ref)
+        for plan, (algo, policy, sched, program, time, steps, report) \
+                in zip(ours, ref):
+            assert (plan.algorithm, plan.policy) == (algo, policy)
+            assert plan.schedules == (sched,)
+            assert plan.report == report
+            assert plan.program == program
+            assert plan.predicted_time == time
+            assert plan.num_steps == steps
+        best = min(ref, key=lambda r: (r[4], r[5], POLICIES.index(r[1]),
+                                       r[0]))
+        winner = plan_topology(system, workload)
+        assert (winner.algorithm, winner.policy, winner.predicted_time,
+                winner.report) == (best[0], best[1], best[4], best[6])
