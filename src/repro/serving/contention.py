@@ -10,10 +10,12 @@ yields, per job, the ratio of its contended finish time to its solo
 finish time — the *slowdown* the serving engine stretches that job's
 step time by for as long as the concurrency set holds.
 
-Because both the combined and the solo batches go through the fluid
-engine's pattern cache, epochs that repeat a concurrency set (steady
-state under a stationary arrival process) cost a cache lookup, not a
-solve — the PR 3/6 caches are what make thousand-job streams cheap.
+The combined batch goes through the fluid engine's pattern cache, so
+epochs that repeat a concurrency set (steady state under a stationary
+arrival process) cost a cache lookup, not a solve.  A job's solo
+makespan depends only on its flows, which are fixed for its whole
+life, so the model memoises it per flow set: each epoch solves one
+combined batch, not one batch per running job.
 
 A lone job's combined batch *is* its solo batch, so its slowdown is
 exactly 1.0 — single-job serving runs reproduce standalone execution
@@ -70,6 +72,9 @@ class ContentionModel:
     def __init__(self, topology: Optional[Topology]) -> None:
         self._sim = (FluidNetworkSimulator(topology)
                      if topology is not None else None)
+        #: Solo makespan per flow set (exact: ``step_profile`` results
+        #: never depend on cache history).
+        self._solo: Dict[Tuple[Flow, ...], float] = {}
 
     @property
     def simulator(self) -> Optional[FluidNetworkSimulator]:
@@ -102,7 +107,11 @@ class ContentionModel:
             if not flows:
                 continue
             contended = max(finish[(s, d)] for s, d, _ in flows)
-            solo = self._sim.step_profile(flows).makespan
+            key = tuple(flows)
+            solo = self._solo.get(key)
+            if solo is None:
+                solo = self._solo[key] = self._sim.step_profile(
+                    flows).makespan
             if solo > 0.0:
                 out[job_id] = max(1.0, contended / solo)
         return out

@@ -20,8 +20,9 @@ Explicit ``message_sizes`` override both (trace replay, parity tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
@@ -49,6 +50,17 @@ def inference_message_sizes(hidden_size: int, num_layers: int,
         raise ConfigurationError("dtype_bytes must be >= 1")
     nbytes = float(batch_size * seq_len * hidden_size * dtype_bytes)
     return (nbytes,) * num_layers
+
+
+@lru_cache(maxsize=256, typed=True)
+def _catalog_message_sizes(model: str, bucket_bytes: float,
+                           dtype_bytes: int) -> Tuple[float, ...]:
+    """Bucketized gradient sizes of one catalog model, once per
+    ``(model, bucket_bytes, dtype_bytes)``: a stream of thousands of
+    jobs draws from a handful of model classes."""
+    return tuple(float(n) for n in allreduce_message_sizes(
+        get_model(model), bucket_bytes=bucket_bytes,
+        dtype_bytes=dtype_bytes))
 
 
 @dataclass(frozen=True)
@@ -90,9 +102,12 @@ class JobSpec:
     message_sizes: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
+        # Written so NaN fails too: a NaN arrival would spin the serving
+        # loop forever and corrupt the wait queue's order.
+        if not 0 <= self.arrival_time < math.inf:
             raise ConfigurationError(
-                f"job {self.job_id}: arrival_time must be >= 0")
+                f"job {self.job_id}: arrival_time must be finite and "
+                f">= 0, got {self.arrival_time!r}")
         if self.num_steps < 1:
             raise ConfigurationError(
                 f"job {self.job_id}: num_steps must be >= 1")
@@ -100,9 +115,10 @@ class JobSpec:
             raise ConfigurationError(
                 f"job {self.job_id}: num_nodes must be >= 2 "
                 f"(a one-node job has nothing to all-reduce)")
-        if self.bucket_bytes <= 0:
+        if not 0 < self.bucket_bytes < math.inf:
             raise ConfigurationError(
-                f"job {self.job_id}: bucket_bytes must be > 0")
+                f"job {self.job_id}: bucket_bytes must be finite and "
+                f"> 0, got {self.bucket_bytes!r}")
         if self.dtype_bytes < 1:
             raise ConfigurationError(
                 f"job {self.job_id}: dtype_bytes must be >= 1")
@@ -110,18 +126,17 @@ class JobSpec:
             if not self.message_sizes:
                 raise ConfigurationError(
                     f"job {self.job_id}: message_sizes must be non-empty")
-            if any(m <= 0 for m in self.message_sizes):
+            if not all(0 < m < math.inf for m in self.message_sizes):
                 raise ConfigurationError(
-                    f"job {self.job_id}: message sizes must be > 0")
+                    f"job {self.job_id}: message sizes must be finite "
+                    f"and > 0")
 
     def resolve_message_sizes(self) -> Tuple[float, ...]:
         """The per-step all-reduce message sizes in bytes.
 
         Explicit sizes win; otherwise the catalog model's gradients are
         bucketized (the training-job derivation).  Resolved once per
-        job — policy sort keys evaluate this on every admission scan,
-        and re-bucketizing the catalog model each time would dominate
-        the scheduler.
+        job, and bucketized once per model class and bucketing knobs.
         """
         return self._resolved_sizes
 
@@ -129,9 +144,8 @@ class JobSpec:
     def _resolved_sizes(self) -> Tuple[float, ...]:
         if self.message_sizes is not None:
             return tuple(float(m) for m in self.message_sizes)
-        return tuple(float(n) for n in allreduce_message_sizes(
-            get_model(self.model), bucket_bytes=self.bucket_bytes,
-            dtype_bytes=self.dtype_bytes))
+        return _catalog_message_sizes(self.model, self.bucket_bytes,
+                                      self.dtype_bytes)
 
     @property
     def bytes_per_step(self) -> float:

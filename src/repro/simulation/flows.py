@@ -56,10 +56,26 @@ import numpy as np
 
 from ..errors import SimulationError
 
-try:  # gated dependency: the sparse backend needs scipy
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _scipy_sparse = None
+_UNLOADED = object()
+#: ``scipy.sparse`` once :func:`_sparse` has imported it, ``None`` when
+#: scipy is absent (gated dependency: only the sparse backend needs
+#: it), :data:`_UNLOADED` before that.  Imported on first use: most
+#: runs never build a sparse batch, and the import would otherwise add
+#: to every start-up.
+_scipy_sparse: object = _UNLOADED
+
+
+def _sparse():
+    """The ``scipy.sparse`` module, or ``None`` without scipy."""
+    global _scipy_sparse
+    if _scipy_sparse is _UNLOADED:
+        try:
+            from scipy import sparse
+        except ImportError:  # pragma: no cover - exercised via monkeypatch
+            sparse = None
+        _scipy_sparse = sparse
+    return _scipy_sparse
+
 
 LinkId = Hashable
 
@@ -70,7 +86,7 @@ SPARSE_FLOW_THRESHOLD = 512
 
 def have_sparse() -> bool:
     """Whether the scipy-backed sparse incidence backend is available."""
-    return _scipy_sparse is not None
+    return _sparse() is not None
 
 
 def resolve_backend(backend: Optional[str], num_flows: int) -> str:
@@ -82,13 +98,13 @@ def resolve_backend(backend: Optional[str], num_flows: int) -> str:
     results are identical either way, only the speed differs).
     """
     if backend in (None, "auto"):
-        if _scipy_sparse is not None and num_flows >= SPARSE_FLOW_THRESHOLD:
+        if num_flows >= SPARSE_FLOW_THRESHOLD and have_sparse():
             return "sparse"
         return "dense"
     if backend == "dense":
         return "dense"
     if backend == "sparse":
-        return "sparse" if _scipy_sparse is not None else "dense"
+        return "sparse" if have_sparse() else "dense"
     raise SimulationError(
         f"unknown incidence backend {backend!r} "
         f"(expected 'auto', 'dense' or 'sparse')")
@@ -174,7 +190,7 @@ class CompiledFlowBatch:
         self._lnk_ptr: Optional[np.ndarray] = None
         self._lnk_flows: Optional[np.ndarray] = None
         if backend == "sparse":
-            self._inc_sp = _scipy_sparse.csr_matrix(
+            self._inc_sp = _sparse().csr_matrix(
                 (np.ones(len(inc_links), dtype=np.float64),
                  (inc_links, inc_flows)),
                 shape=(self.num_links, self.num_flows))

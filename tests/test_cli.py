@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        """scipy is only needed by the sparse fluid backend, which no
+        command reaches at import; loading it would double start-up."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, repro.cli\n"
+                "assert 'scipy' not in sys.modules, 'scipy loaded'\n")
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                       check=True)
 
 
 class TestParser:

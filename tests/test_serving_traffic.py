@@ -1,5 +1,9 @@
 """Tests for the serving job model and traffic engines."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,6 +51,39 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             JobSpec(job_id=0, model="alexnet", arrival_time=0.0,
                     message_sizes=(0.0,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="arrival_time"):
+            JobSpec(job_id=0, model="alexnet", arrival_time=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_bucket_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="bucket_bytes"):
+            JobSpec(job_id=0, model="alexnet", arrival_time=0.0,
+                    bucket_bytes=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_message_size_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            JobSpec(job_id=0, model="alexnet", arrival_time=0.0,
+                    message_sizes=(1e6, bad))
+
+    def test_nan_arrival_fails_fast_not_forever(self):
+        """A NaN arrival used to pass validation and spin the serving
+        loop forever; it must now fail at construction.  Run in a child
+        so a hang fails the test at the timeout."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("from repro.serving import JobSpec, ServingEngine\n"
+                "ServingEngine(capacity=8).run([JobSpec(job_id=0, "
+                "model='alexnet', arrival_time=float('nan'))])\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60, capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "ConfigurationError" in proc.stderr
+        assert "arrival_time must be finite" in proc.stderr
 
     def test_inference_sizes_are_activation_shaped(self):
         sizes = inference_message_sizes(hidden_size=4096, num_layers=3,
