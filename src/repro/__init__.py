@@ -20,19 +20,16 @@ The library is layered so that "what to run", "where to run it" and
   and reports per-step timings.  Built-ins: the conflict-exact WDM ring
   (with an RWA memoization cache), two electrical fluid models, and a
   2-D optical torus; third-party fabrics plug in via
-  :func:`~repro.core.substrates.register_substrate`.  The historical
-  function API (:func:`repro.core.executor.execute_on_optical_ring` /
-  ``execute_on_electrical``) remains as thin wrappers;
+  :func:`~repro.core.substrates.register_substrate`;
 * **Planning & analysis** (:mod:`repro.core`, :mod:`repro.analysis`) —
   :func:`~repro.core.planner.plan_wrht` picks the group size
   (analytically or by simulating candidates on a substrate),
   :func:`~repro.core.comparison.compare_algorithms` drives the figures,
-  and the sweep/parallel modules fan experiments over substrates and
-  worker processes;
-* **Front ends** — :func:`~repro.core.allreduce_api.allreduce` and
-  :class:`~repro.core.communicator.Communicator` reduce real numpy
-  arrays while reporting modelled time; ``python -m repro`` exposes the
-  figures, sweeps and planner on the command line.
+  and the sweep module fans experiments over substrates;
+* **Front ends** — :func:`~repro.core.allreduce_api.allreduce` reduces
+  real numpy arrays while reporting modelled time; ``python -m repro``
+  exposes the figures, sweeps, planner and serving on the command
+  line.
 
 See ``DESIGN.md`` for details and ``EXPERIMENTS.md`` for the
 paper-vs-measured record.

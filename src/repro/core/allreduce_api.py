@@ -67,7 +67,8 @@ def allreduce(arrays: Sequence[np.ndarray],
     ``algorithm`` ∈ {"wrht", "o-ring", "e-ring", "rd", "o-torus"}.
     Substrates are resolved through the registry
     (:func:`repro.core.substrates.get_substrate`); pass ``substrate``
-    to reuse a warm instance (e.g. a :class:`Communicator`'s) instead.
+    to reuse a warm instance instead.  A given ``optical`` or
+    ``electrical`` system must have one node per array.
     """
     if not arrays:
         raise ConfigurationError("need at least one rank's array")
@@ -75,6 +76,11 @@ def allreduce(arrays: Sequence[np.ndarray],
     if len(shapes) != 1:
         raise ConfigurationError(f"rank arrays differ in shape: {shapes}")
     n = len(arrays)
+    for system in (optical, electrical):
+        if system is not None and system.num_nodes != n:
+            raise ConfigurationError(
+                f"system has {system.num_nodes} nodes but {n} rank "
+                f"arrays were given")
     if n == 1:
         dummy = ExecutionReport(schedule_name="noop", substrate="none")
         return AllreduceOutcome([np.asarray(arrays[0], dtype=np.float64)],

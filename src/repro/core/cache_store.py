@@ -2,9 +2,9 @@
 
 The in-memory memoization caches (the ring's RWA cache, the OCS
 decomposition step cache, the fluid simulators' pattern caches) are
-process-local; the parallel drivers therefore re-solved identical
-subproblems in every worker.  :class:`CacheStore` closes that gap: a
-directory of pickled *namespaces* that substrates spill to
+process-local, so separate runs re-solve identical subproblems.
+:class:`CacheStore` closes that gap: a directory of pickled
+*namespaces* that substrates spill to
 (:meth:`~repro.core.substrates.base.Substrate.spill_to`) and warm from
 (:meth:`~repro.core.substrates.base.Substrate.warm_from`), so one
 process's solve is every process's hit.
@@ -14,8 +14,8 @@ Correctness contract
 Only caches whose values are **pure deterministic functions of their
 keys** may be persisted — a warmed hit must return exactly what the
 miss path would compute, so results never depend on cache history (the
-parallel drivers' byte-identical parity tests pin this).  Every cache
-wired through the substrates honours it.
+warm-vs-cold store parity tests pin this).  Every cache wired through
+the substrates honours it.
 
 Robustness
 ----------

@@ -446,7 +446,7 @@ def wrht_time_from_schedule(schedule: Schedule,
                             workload: Workload) -> WrhtCostDetail:
     """Analytic time of a generated Wrht schedule (no RWA, exact demand).
 
-    Mirrors :func:`repro.core.executor.execute_on_optical_ring` with
+    Mirrors :class:`repro.core.substrates.OpticalRingSubstrate` with
     ``striping='auto'``, charging tuning on every step (hierarchical
     steps always retune; the executor agrees except on degenerate
     repeated steps).

@@ -8,7 +8,7 @@ next step starts then) and return an :class:`ExecutionReport`.
 Substrates keep their expensive simulation state (optical networks,
 fluid simulators, RWA caches) alive across calls, so drivers that
 execute many schedules on one system — the planner's candidate sweep,
-the ablation grids, the parallel workers — pay construction cost once.
+the ablation grids, the serving engine — pay construction cost once.
 :meth:`Substrate.execute_many` is the batch entry point those drivers
 use.
 """
@@ -200,7 +200,7 @@ class Substrate(abc.ABC):
     def execute_many(self, jobs: Iterable[JobLike]) -> List[ExecutionReport]:
         """Execute a batch of jobs on this one substrate instance.
 
-        The batch form exists so callers (parallel workers, sweeps) hold
+        The batch form exists so callers such as the serving engine hold
         a single substrate — and therefore a single network object and a
         warm RWA cache — across a whole grid of executions.
 
@@ -238,8 +238,7 @@ class Substrate(abc.ABC):
     # a :class:`repro.core.cache_store.CacheStore` can warm them from
     # disk and spill them back.  Every cached value must be a pure
     # deterministic function of its key, so hit/miss history never
-    # changes results — the property the parallel drivers' byte-identical
-    # parity tests pin.
+    # changes results — the property the store parity tests pin.
 
     def persistent_caches(self) -> Dict[str, LruCache]:
         """Spillable caches keyed by store namespace (default: none).
@@ -302,11 +301,6 @@ class Substrate(abc.ABC):
             if track:
                 seen[namespace] = cache.mutations
         return written
-
-    def detach_store(self) -> None:
-        """Forget the attached store (stops lazy warms and spills)."""
-        self._cache_store = None
-        self._spilled_mutations = {}
 
     @property
     def cache_store(self) -> Any:

@@ -2,10 +2,9 @@
 
 ``get_substrate("optical-ring")`` constructs a fresh substrate;
 ``pooled_substrate(...)`` memoizes instances per (name, system, options)
-so hot drivers — the comparison harness, parallel workers — reuse one
-network object and one warm RWA cache per configuration instead of
-rebuilding them per call.  The pool is process-local (each worker
-process grows its own) and LRU-bounded.
+so hot drivers such as the comparison harness reuse one network object
+and one warm RWA cache per configuration instead of rebuilding them per
+call.  The pool is process-local and LRU-bounded.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ _REGISTRY: Dict[str, SubstrateFactory] = {}
 #: Upper bound on distinct substrate instances kept alive per process.
 _POOL_MAX = 32
 _POOL: "OrderedDict[Tuple, Substrate]" = OrderedDict()
-
-#: Process-local persistent cache store newly pooled substrates warm from.
-_POOL_STORE: Optional[Any] = None
 
 
 def register_substrate(name: str, factory: SubstrateFactory,
@@ -84,8 +80,6 @@ def pooled_substrate(name: str, system: Optional[Any] = None,
     sub = _POOL.get(key)
     if sub is None:
         sub = get_substrate(name, system=system, **kwargs)
-        if _POOL_STORE is not None:
-            sub.warm_from(_POOL_STORE)
         _POOL[key] = sub
         if len(_POOL) > _POOL_MAX:
             _POOL.popitem(last=False)
@@ -126,38 +120,3 @@ def cache_stats(substrates: Optional[Any] = None) -> Dict[str, Dict[str, Any]]:
 def clear_substrate_pool() -> None:
     """Drop every pooled instance (tests / memory pressure)."""
     _POOL.clear()
-
-
-def set_pool_cache_store(store: Optional[Any]) -> None:
-    """Attach a :class:`~repro.core.cache_store.CacheStore` to the pool.
-
-    Substrates pooled from now on warm their persistent caches from
-    ``store`` at construction; instances already pooled are warmed
-    immediately.  Pass ``None`` to detach the pool *and* every pooled
-    instance (their in-memory caches stay, but they stop reading from
-    or spilling to the old directory).  The setting is process-local —
-    parallel workers each call this once at cell start.
-    """
-    global _POOL_STORE
-    _POOL_STORE = store
-    for sub in _POOL.values():
-        if store is not None:
-            sub.warm_from(store)
-        else:
-            sub.detach_store()
-
-
-def spill_pool_caches(store: Optional[Any] = None) -> int:
-    """Spill every pooled substrate's caches to ``store``.
-
-    Defaults to the store attached via :func:`set_pool_cache_store`.
-    Returns the number of entries written (0 when no store is
-    configured).
-    """
-    store = store if store is not None else _POOL_STORE
-    if store is None:
-        return 0
-    written = 0
-    for sub in _POOL.values():
-        written += sub.spill_to(store)
-    return written

@@ -147,7 +147,7 @@ class Topology:
         Derived from :meth:`signature` — any topology with identical
         links and routing class, in any process, shares the entries
         (this is what keeps BFS-heavy ``CircuitTopology`` runs warm
-        across worker processes).
+        across processes).
         """
         return f"topo-paths/{self.signature()}"
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import default_electrical, default_optical
 from repro.core.allreduce_api import allreduce
 from repro.errors import ConfigurationError
 
@@ -57,3 +58,35 @@ class TestNumericalCorrectness:
         data = [np.arange(4), np.arange(4)]
         out = allreduce(data, algorithm="rd")
         np.testing.assert_allclose(out.data[0], 2 * np.arange(4))
+
+
+class TestSystemSize:
+    """A given system must have exactly one node per rank array."""
+
+    @pytest.mark.parametrize("algorithm", ["wrht", "o-ring"])
+    def test_optical_size_mismatch_rejected(self, algorithm):
+        with pytest.raises(ConfigurationError, match="8 nodes but 4"):
+            allreduce(ranks(4), algorithm=algorithm,
+                      optical=default_optical(8))
+
+    @pytest.mark.parametrize("algorithm", ["e-ring", "rd"])
+    def test_electrical_size_mismatch_rejected(self, algorithm):
+        with pytest.raises(ConfigurationError, match="8 nodes but 4"):
+            allreduce(ranks(4), algorithm=algorithm,
+                      electrical=default_electrical(8))
+
+    def test_rejected_before_planning(self, monkeypatch):
+        def no_planning(*args, **kwargs):
+            raise AssertionError("planned before checking the system")
+
+        monkeypatch.setattr("repro.core.allreduce_api.plan_wrht",
+                            no_planning)
+        with pytest.raises(ConfigurationError):
+            allreduce(ranks(4), optical=default_optical(2))
+
+    @pytest.mark.parametrize("algorithm", ["wrht", "o-ring", "e-ring", "rd"])
+    def test_matching_system_accepted(self, algorithm):
+        out = allreduce(ranks(4), algorithm=algorithm,
+                        optical=default_optical(4),
+                        electrical=default_electrical(4))
+        np.testing.assert_allclose(out.data[0], np.sum(ranks(4), axis=0))

@@ -5,13 +5,14 @@ import pickle
 
 from repro import units
 from repro.caching import LruCache
+from repro.collectives.recursive_doubling import generate_recursive_doubling
 from repro.collectives.ring_allreduce import generate_ring_allreduce
-from repro.config import OpticalRingSystem, Workload
+from repro.config import OpticalRingSystem, Workload, default_optical
 from repro.core.cache_store import FORMAT_VERSION, CacheStore
+from repro.core.planner import plan_wrht
 from repro.core.substrates import (ElectricalSubstrate,
-                                   OpticalRingSubstrate,
-                                   clear_substrate_pool, pooled_substrate,
-                                   set_pool_cache_store, spill_pool_caches)
+                                   OCSReconfigurableSubstrate,
+                                   OpticalRingSubstrate, cache_stats)
 
 SCHED = generate_ring_allreduce(8)
 WL = Workload(data_bytes=1 * units.MB)
@@ -239,7 +240,7 @@ class TestSubstrateSpillWarm:
 
     def test_reattaching_a_store_resets_spill_history(self, tmp_path):
         """Entries spilled to store A must still reach a new store B
-        (the forked-worker case: inherited pools, fresh store)."""
+        (a long-lived substrate re-pointed at a fresh store)."""
         a = CacheStore(str(tmp_path / "a"))
         b = CacheStore(str(tmp_path / "b"))
         sub = ElectricalSubstrate(topology="ring")
@@ -251,43 +252,30 @@ class TestSubstrateSpillWarm:
         assert b.stats()["total_entries"] > 0
 
 
-class TestPoolStore:
-    def test_pool_warms_and_spills(self, tmp_path):
-        store = CacheStore(str(tmp_path))
-        clear_substrate_pool()
-        try:
-            set_pool_cache_store(store)
-            sub = pooled_substrate("electrical-ring")
-            report = sub.execute(SCHED, WL)
-            assert spill_pool_caches() > 0
-        finally:
-            set_pool_cache_store(None)
-            clear_substrate_pool()
-
-        # A fresh pool in "another process" warms from the same store.
-        try:
-            set_pool_cache_store(store)
-            sub2 = pooled_substrate("electrical-ring")
-            assert sub2.execute(SCHED, WL) == report
-            assert sub2.fluid_cache_info().misses == 0
-        finally:
-            set_pool_cache_store(None)
-            clear_substrate_pool()
-
-    def test_spill_without_store_returns_zero(self):
-        clear_substrate_pool()
-        assert spill_pool_caches() == 0
-
-
 class TestStoreParityGuarantee:
     def test_warm_and_cold_reports_identical(self, tmp_path):
-        """A warmed hit returns exactly what a cold miss computes."""
+        """A warmed hit returns exactly what a cold miss computes.
+
+        Each factory runs schedules that exercise the cache it persists
+        (fluid patterns, ring RWA, OCS circuit decomposition), and the
+        warm instance must serve every lookup of that cache from the
+        store.
+        """
         store = CacheStore(str(tmp_path))
-        for factory in (lambda: ElectricalSubstrate(topology="switch"),
-                        lambda: ElectricalSubstrate(topology="ring")):
+        wrht = plan_wrht(default_optical(8), WL).schedule
+        rd = generate_recursive_doubling(8)
+        for factory, kind, schedules in (
+                (lambda: ElectricalSubstrate(topology="switch"), "fluid",
+                 (SCHED,)),
+                (lambda: ElectricalSubstrate(topology="ring"), "fluid",
+                 (SCHED,)),
+                (OpticalRingSubstrate, "rwa", (SCHED, wrht)),
+                (OCSReconfigurableSubstrate, "step", (SCHED, rd))):
             cold = factory()
-            baseline = cold.execute(SCHED, WL)
+            baseline = [cold.execute(s, WL) for s in schedules]
             cold.spill_to(store)
             warm = factory()
             warm.warm_from(store)
-            assert warm.execute(SCHED, WL) == baseline
+            assert [warm.execute(s, WL) for s in schedules] == baseline
+            stats = cache_stats([warm])[kind]
+            assert stats["hits"] > 0 and stats["misses"] == 0

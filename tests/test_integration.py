@@ -8,10 +8,10 @@ from repro.analysis.sweeps import pipelining_sweep
 from repro.collectives import (WrhtParameters, generate_wrht,
                                verify_allreduce)
 from repro.config import OpticalRingSystem, Workload
+from repro.core.allreduce_api import allreduce
 from repro.core.comparison import compare_algorithms
-from repro.core.communicator import Communicator
-from repro.core.executor import execute_on_optical_ring
 from repro.core.planner import plan_wrht
+from repro.core.substrates import OpticalRingSubstrate
 from repro.models.catalog import get_model, paper_workload
 from repro.models.gradients import bucketize_gradients, gradient_workload
 from repro.optical.impairments import validate_schedule_reach
@@ -30,7 +30,7 @@ class TestFullPipeline:
         # schedule is a provable all-reduce
         verify_allreduce(plan.schedule, elements_per_chunk=1)
         # executes within the wavelength budget, matching the prediction
-        report = execute_on_optical_ring(plan.schedule, system, wl)
+        report = OpticalRingSubstrate(system).execute(plan.schedule, wl)
         assert report.peak_wavelength_demand() <= w
         assert report.total_time == pytest.approx(plan.predicted_time,
                                                   rel=1e-6)
@@ -52,7 +52,7 @@ class TestFullPipeline:
         wl = Workload(data_bytes=1 * units.MB)
         plan = plan_wrht(system, wl)
         assert plan.group_size in (2, 3)
-        report = execute_on_optical_ring(plan.schedule, system, wl)
+        report = OpticalRingSubstrate(system).execute(plan.schedule, wl)
         assert report.peak_wavelength_demand() <= 1
 
 
@@ -80,17 +80,16 @@ class TestModelDrivenWorkflow:
 
 
 class TestDistributedTrainingLoop:
-    """A miniature synchronous SGD loop over the Communicator."""
+    """A miniature synchronous SGD loop over the numerical all-reduce."""
 
     def test_two_iterations_of_sgd(self):
         n, dim = 8, 16
         rng = np.random.default_rng(0)
-        comm = Communicator(n)
         weights = [np.zeros(dim) for _ in range(n)]
         total_comm_time = 0.0
         for _ in range(2):
             grads = [rng.normal(size=dim) for _ in range(n)]
-            out = comm.allreduce(grads, algorithm="wrht")
+            out = allreduce(grads, algorithm="wrht")
             total_comm_time += out.report.total_time
             mean_grad = out.data[0] / n
             weights = [w - 0.1 * mean_grad for w in weights]
@@ -98,18 +97,6 @@ class TestDistributedTrainingLoop:
         for w in weights[1:]:
             np.testing.assert_allclose(w, weights[0])
         assert total_comm_time > 0
-
-    def test_mixed_collectives_compose(self):
-        n = 8
-        comm = Communicator(n)
-        data = [np.full(4, float(i)) for i in range(n)]
-        summed = comm.reduce(data, root=0)
-        redistributed = comm.broadcast(
-            [summed.data[0] if r == 0 else np.zeros(4)
-             for r in range(n)], root=0)
-        expected = np.full(4, sum(range(n)), dtype=float)
-        for arr in redistributed.data:
-            np.testing.assert_allclose(arr, expected)
 
 
 class TestPipeliningIntegration:
@@ -131,6 +118,6 @@ class TestPipeliningIntegration:
         params = WrhtParameters(num_nodes=27, group_size=3,
                                 num_wavelengths=16, alltoall_threshold=3)
         sched, _ = generate_wrht_pipelined(params, 4)
-        report = execute_on_optical_ring(sched, system, wl)
+        report = OpticalRingSubstrate(system).execute(sched, wl)
         assert report.peak_wavelength_demand() <= 16
         verify_allreduce(sched, elements_per_chunk=1)
