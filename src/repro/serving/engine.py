@@ -15,11 +15,12 @@ pieces:
    re-based to the job's placement and executed on the *shared*
    substrate instance — so the RWA/pattern/compile caches stay warm
    across thousands of jobs;
-4. **contention** between concurrent jobs comes from one combined
-   fluid batch per concurrency epoch
+4. **contention** between concurrent jobs comes from one fluid batch
+   per link-sharing component per concurrency epoch
    (:class:`~repro.serving.contention.ContentionModel`): each job's
    step time stretches by its max-min-fair slowdown until the set of
-   running jobs changes.
+   running jobs changes, and a job that shares no link with another
+   keeps slowdown exactly 1.0 without any solve.
 
 Progress is fluid (jobs advance fractional steps between events), so
 the event loop is exact: events are arrivals, completions, and the

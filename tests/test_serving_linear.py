@@ -1,20 +1,29 @@
-"""The serving event loop does linear work and matches the sort-based loop.
+"""The serving event loop does linear work and matches the frozen loops.
 
 * **frozen-copy parity** — :class:`SortedQueueScheduler` keeps the wait
   queue as a plain list and re-sorts it on every admission scan (the
   original implementation, frozen here).  Hypothesis drives it and the
   heap-ordered :class:`~repro.serving.OnlineScheduler` through the same
-  random operation sequences and compares them after every step;
+  random operation sequences and compares them after every step.
+  :class:`CombinedBatchContention` is the contention model that solved
+  every running job in one combined fluid batch per epoch (also frozen
+  here); the per-component model must match it within 1e-12 relative
+  on random scattered flow sets and on whole streams, and give a job
+  that shares no link with another exactly 1.0;
 * **work counters** — on a 1000-job overload stream, policy keys are
-  evaluated once per queued job, the contention model solves each job
-  flow set's solo profile once, and a catalog model is bucketized once
-  per ``(model, bucket_bytes, dtype_bytes)``.  Counts, not wall time;
+  evaluated once per queued job, the contention model never solves
+  (contiguous jobs share no link), and a catalog model is bucketized
+  once per ``(model, bucket_bytes, dtype_bytes)``.  Switch-star streams
+  never solve either; scatter streams do.  Counts, not wall time;
 * **end-to-end parity** — the same stream through the sort-based
-  scheduler with every memo defeated gives the same report.
+  scheduler with every memo defeated gives the same report;
+* **serving invariants** — on contended scatter streams every slowdown
+  is at least 1.0, no job finishes faster than its steps at solo step
+  time, and every submitted job either completes or fails.
 """
 
 import dataclasses
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +33,8 @@ import repro.serving.jobs as jobs_mod
 import repro.serving.scheduler as scheduler_mod
 from repro.errors import ConfigurationError
 from repro.serving import (ContentionModel, JobSpec, OnlineScheduler,
-                           Placement, ServingEngine, poisson_traffic)
+                           Placement, ServingEngine, contention_topology,
+                           fixed_policy, poisson_traffic)
 
 
 class SortedQueueScheduler(OnlineScheduler):
@@ -59,6 +69,35 @@ class SortedQueueScheduler(OnlineScheduler):
             self._queue.remove(head)
             placed.append(Placement(job=head, nodes=nodes, start_time=now))
         return placed
+
+
+class CombinedBatchContention(ContentionModel):
+    """The original contention model: every running job's flows solved
+    as one combined fluid batch per epoch, frozen here."""
+
+    def slowdowns(self, flows_by_job):
+        out = {job_id: 1.0 for job_id in flows_by_job}
+        if self._sim is None or len(flows_by_job) <= 1:
+            return out
+        combined = [f for flows in flows_by_job.values() for f in flows]
+        if not combined:
+            return out
+        profile = self._sim.step_profile(combined)
+        finish = {}
+        for pair, t in zip(profile.pairs, profile.finish_times):
+            finish[pair] = max(finish.get(pair, 0.0), float(t))
+        for job_id, flows in flows_by_job.items():
+            if not flows:
+                continue
+            contended = max(finish[(s, d)] for s, d, _ in flows)
+            key = tuple(flows)
+            solo = self._solo.get(key)
+            if solo is None:
+                solo = self._solo[key] = self._sim.step_profile(
+                    flows).makespan
+            if solo > 0.0:
+                out[job_id] = max(1.0, contended / solo)
+        return out
 
 
 # -- frozen-copy parity -------------------------------------------------------
@@ -142,6 +181,87 @@ class TestFrozenCopyParity:
             assert heap.free_nodes == ref.free_nodes
 
 
+#: The fabrics with a contention topology, built as the engine builds them.
+SYSTEMS = {name: engine_mod._DEFAULT_SYSTEMS[name] for name in
+           ("electrical-ring", "electrical-switch", "optical-ring")}
+
+
+@st.composite
+def scattered_jobs(draw):
+    """Jobs on disjoint, randomly scattered node sets of an ``n``-node
+    fabric, each with a few random ``(src, dst, bytes)`` flows among
+    its own nodes (a job may have none)."""
+    n = draw(st.integers(4, 20))
+    order = draw(st.permutations(range(n)))
+    flows_by_job: Dict[int, List[Tuple[int, int, float]]] = {}
+    used = 0
+    for job_id in range(draw(st.integers(1, n // 2))):
+        width = draw(st.integers(2, max(2, min(6, n - used))))
+        if used + width > n:
+            break
+        nodes = order[used:used + width]
+        used += width
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                          st.sampled_from((1e5, 1e6, 3e6, 8e6)))
+        flows_by_job[job_id] = [(a, b, z) for a, b, z in draw(
+            st.lists(pairs, max_size=6)) if a != b]
+    return n, flows_by_job
+
+
+def _components(topology, flows_by_job: Mapping[int, Sequence]
+                ) -> List[List[int]]:
+    """Jobs grouped by shared routed links, found independently of the
+    model: repeatedly merge any two groups whose link sets meet."""
+    groups = [({job_id}, {l.ident for s, d, _ in flows
+                          for l in topology.routed_path(s, d)})
+              for job_id, flows in flows_by_job.items() if flows]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i][1] & groups[j][1]:
+                    groups[i][0].update(groups[j][0])
+                    groups[i][1].update(groups[j][1])
+                    del groups[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return [sorted(jobs) for jobs, _ in groups]
+
+
+class TestContentionParity:
+    @pytest.mark.parametrize("fabric", sorted(SYSTEMS))
+    @given(case=scattered_jobs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_combined_batch(self, fabric, case):
+        n, flows_by_job = case
+        topology = contention_topology(SYSTEMS[fabric](n))
+        got = ContentionModel(topology).slowdowns(flows_by_job)
+        want = CombinedBatchContention(topology).slowdowns(flows_by_job)
+        assert got.keys() == want.keys()
+        for job_id, slow in got.items():
+            assert slow >= 1.0
+            assert slow == pytest.approx(want[job_id], rel=1e-12, abs=0)
+        for members in _components(topology, flows_by_job):
+            if len(members) == 1:
+                assert got[members[0]] == 1.0
+        if fabric == "electrical-switch":
+            assert all(slow == 1.0 for slow in got.values())
+
+    def test_solves_count_multi_job_components(self):
+        # Two jobs share link (4,5); a third sits alone on 10..12.
+        model = ContentionModel(contention_topology(
+            SYSTEMS["electrical-ring"](16)))
+        slow = model.slowdowns({0: [(3, 6, 1e6)], 1: [(4, 7, 1e6)],
+                                2: [(10, 12, 1e6)]})
+        assert slow[0] > 1.0 and slow[1] > 1.0 and slow[2] == 1.0
+        assert model.solves == 1
+        model.slowdowns({0: [(0, 3, 1e6)], 1: [(8, 11, 1e6)]})
+        assert model.solves == 1
+
+
 # -- work counters and end-to-end parity --------------------------------------
 
 STREAM = dict(num_jobs=1000, arrival_rate=200.0, seed=0)
@@ -181,14 +301,11 @@ class TestWorkCounters:
             return sizes(*args, **kwargs)
 
         epochs = [0]
-        flow_sets = set()
         slowdowns = ContentionModel.slowdowns
 
         def recording_slowdowns(self, flows_by_job):
-            if len(flows_by_job) > 1 and any(flows_by_job.values()):
+            if sum(bool(f) for f in flows_by_job.values()) > 1:
                 epochs[0] += 1
-                flow_sets.update(tuple(f) for f in flows_by_job.values()
-                                 if f)
             return slowdowns(self, flows_by_job)
 
         monkeypatch.setattr(scheduler_mod, "policy_key",
@@ -216,8 +333,11 @@ class TestWorkCounters:
         assert report.num_jobs == len(jobs)
         assert report.max_queue_depth > 100  # the queue really builds up
         assert 0 < key_evals[0] <= queued[0]
+        # Contiguous jobs never share a link: many multi-job epochs,
+        # no fluid solve at all.
         assert epochs[0] > 0
-        assert solves[0] <= len(flow_sets) + epochs[0]
+        assert solves[0] == 0
+        assert engine._contention.solves == 0
         classes = {(j.model, j.bucket_bytes, j.dtype_bytes)
                    for j in jobs if j.message_sizes is None}
         assert classes
@@ -236,6 +356,69 @@ class TestWorkCounters:
         monkeypatch.setattr(jobs_mod, "_catalog_message_sizes",
                             jobs_mod._catalog_message_sizes.__wrapped__)
         engine = ServingEngine(capacity=32)
+        engine._contention._links = NoMemo()
         engine._contention._solo = NoMemo()
         got = _report_outcome(engine.run(poisson_traffic(**STREAM)))
         assert got == want
+
+    @pytest.mark.parametrize("placement", ["contiguous", "scatter"])
+    def test_jcts_match_combined_batch(self, monkeypatch, placement):
+        jobs = poisson_traffic(**STREAM)
+        engine = ServingEngine(capacity=32, placement=placement)
+        got = engine.run(jobs)
+        # Only scattered jobs share links.
+        assert (engine._contention.solves > 0) == (placement == "scatter")
+        monkeypatch.setattr(engine_mod, "ContentionModel",
+                            CombinedBatchContention)
+        want = ServingEngine(capacity=32, placement=placement).run(jobs)
+        assert [r.job.job_id for r in got.records] \
+            == [r.job.job_id for r in want.records]
+        for a, b in zip(got.records, want.records):
+            assert a.completion == pytest.approx(b.completion, rel=1e-12,
+                                                 abs=0)
+
+
+class TestContentionSolves:
+    def test_switch_star_never_solves(self):
+        engine = ServingEngine(substrate_name="electrical-switch",
+                               capacity=32, placement="scatter")
+        report = engine.run(poisson_traffic(**STREAM))
+        assert report.num_jobs == STREAM["num_jobs"]
+        assert engine._contention.solves == 0
+
+
+# -- serving invariants on contended streams ----------------------------------
+
+CONTENDED = {
+    "electrical-ring": {},
+    "optical-ring": {"collectives": fixed_policy("wrht")},
+}
+
+
+class TestServingInvariants:
+    @pytest.mark.parametrize("fabric", sorted(CONTENDED))
+    def test_scatter_stream_invariants(self, monkeypatch, fabric):
+        seen: List[float] = []
+        slowdowns = ContentionModel.slowdowns
+
+        def recording_slowdowns(self, flows_by_job):
+            out = slowdowns(self, flows_by_job)
+            seen.extend(out.values())
+            return out
+
+        monkeypatch.setattr(ContentionModel, "slowdowns",
+                            recording_slowdowns)
+        engine = ServingEngine(substrate_name=fabric, capacity=32,
+                               placement="scatter", **CONTENDED[fabric])
+        jobs = poisson_traffic(num_jobs=400, arrival_rate=200.0, seed=1)
+        report = engine.run(jobs)
+
+        assert engine._contention.solves > 0  # jobs really contend
+        assert seen and min(seen) >= 1.0
+        assert max(seen) > 1.0
+        for r in report.records:
+            floor = r.job.num_steps * r.step_time
+            assert r.completion_time - r.start_time >= floor * (1 - 1e-8)
+        done = [r.job.job_id for r in report.records]
+        failed = [j.job_id for j in report.failed_jobs]
+        assert sorted(done + failed) == sorted(j.job_id for j in jobs)
